@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Config sizes the store. The paper's defaults: 2M hash buckets and a
@@ -61,6 +62,13 @@ type partition struct {
 // Store is an EREW-partitioned MICA instance. Each partition is owned by
 // exactly one manager thread (no concurrency control, matching EREW);
 // the Store itself is not safe for concurrent writers to one partition.
+//
+// The data path is bulk and allocation-free: log appends and reads are
+// at most two copies split at the wrap point, index probes decode only
+// the entry header and compare the key in place, and each operation
+// hashes its key once. Get returns an owned copy of the value (the one
+// allocation a hit makes); AppendGet appends the value to a caller-owned
+// buffer instead, and Set and a Scan with a nil callback never allocate.
 type Store struct {
 	cfg   Config
 	parts []*partition
@@ -98,23 +106,59 @@ func (s *Store) Partitions() int { return len(s.parts) }
 
 // Partition returns the EREW owner partition of a key.
 func (s *Store) Partition(key []byte) int {
-	return int(hash64(key) % uint64(len(s.parts)))
+	return s.partOf(hash64(key))
+}
+
+func (s *Store) partOf(h uint64) int {
+	return int(h % uint64(len(s.parts)))
 }
 
 // Set stores key -> value in the key's partition.
+//
+//altolint:hotpath
 func (s *Store) Set(key, value []byte) error {
-	return s.parts[s.Partition(key)].set(key, value)
+	h := hash64(key)
+	return s.parts[s.partOf(h)].set(h, key, value)
 }
 
 // Get fetches the value for key; ok is false on miss (never stored, index
-// entry evicted, or log entry recycled — MICA is lossy by design).
+// entry evicted, or log entry recycled — MICA is lossy by design). The
+// returned slice is a fresh copy the caller owns.
 func (s *Store) Get(key []byte) (value []byte, ok bool) {
-	return s.parts[s.Partition(key)].get(key)
+	h := hash64(key)
+	p := s.parts[s.partOf(h)]
+	off, n, ok := p.get(h, key)
+	if !ok {
+		return nil, false
+	}
+	value = make([]byte, n)
+	p.copyOut(value, off)
+	return value, true
+}
+
+// AppendGet appends the value for key to dst and returns the extended
+// buffer. On a miss it returns dst unchanged and ok false. It allocates
+// only when dst lacks the capacity for the value.
+//
+//altolint:hotpath
+func (s *Store) AppendGet(dst, key []byte) ([]byte, bool) {
+	h := hash64(key)
+	p := s.parts[s.partOf(h)]
+	off, n, ok := p.get(h, key)
+	if !ok {
+		return dst, false
+	}
+	dst = slices.Grow(dst, int(n))
+	m := len(dst)
+	dst = dst[:m+int(n)]
+	p.copyOut(dst[m:], off)
+	return dst, true
 }
 
 // Scan walks up to n live log entries of the key's partition, invoking fn
 // for each (the long-running SCAN of §IX-D). It returns the number of
-// entries visited.
+// entries visited. Key and value are materialised only when fn is
+// non-nil; each call receives fresh slices it may retain.
 func (s *Store) Scan(partition, n int, fn func(key, value []byte)) int {
 	return s.parts[partition].scan(n, fn)
 }
@@ -145,7 +189,10 @@ func tagOf(h uint64) uint16 {
 	return t
 }
 
-func (p *partition) set(key, value []byte) error {
+// set appends key -> value and indexes it; h is hash64(key).
+//
+//altolint:hotpath
+func (p *partition) set(h uint64, key, value []byte) error {
 	size := entryHeader + len(key) + len(value)
 	if int64(size) > int64(len(p.log)) {
 		return fmt.Errorf("mica: entry of %d bytes exceeds log capacity", size)
@@ -159,18 +206,15 @@ func (p *partition) set(key, value []byte) error {
 	p.append(key)
 	p.append(value)
 
-	h := hash64(key)
 	tag := tagOf(h)
 	b := p.bucket(h)
 	// Prefer an existing slot for this tag (update), then an empty slot,
 	// else evict the entry with the oldest offset (lossy index).
 	victim := 0
 	for i := range b {
-		if b[i].tag == tag {
-			if k, _, ok := p.readAt(b[i].offset); ok && string(k) == string(key) {
-				victim = i
-				break
-			}
+		if b[i].tag == tag && p.holds(b[i].offset, key) {
+			victim = i
+			break
 		}
 		if b[i].tag == 0 {
 			victim = i
@@ -188,32 +232,35 @@ func (p *partition) set(key, value []byte) error {
 	return nil
 }
 
-func (p *partition) get(key []byte) ([]byte, bool) {
+// get finds key (h is hash64(key)) and returns the log offset and length
+// of its value.
+//
+//altolint:hotpath
+func (p *partition) get(h uint64, key []byte) (off, n uint64, ok bool) {
 	p.stats.Gets++
-	h := hash64(key)
 	tag := tagOf(h)
 	for _, e := range p.bucket(h) {
 		if e.tag != tag {
 			continue
 		}
-		k, v, ok := p.readAt(e.offset)
+		klen, vlen, ok := p.header(e.offset)
 		if !ok {
 			p.stats.LogRecycles++
 			continue
 		}
-		if string(k) == string(key) {
+		if klen == uint64(len(key)) && p.equalAt(e.offset+entryHeader, key) {
 			p.stats.GetHits++
-			out := make([]byte, len(v))
-			copy(out, v)
-			return out, true
+			return e.offset + entryHeader + klen, vlen, true
 		}
 	}
-	return nil, false
+	return 0, 0, false
 }
 
 // reserve advances head past whole entries until size bytes can be
 // appended without clobbering the oldest resident entry. Called before
 // the append, while the header bytes at head are still intact.
+//
+//altolint:hotpath
 func (p *partition) reserve(size uint64) {
 	logSize := uint64(len(p.log))
 	for p.tail+size-p.head > logSize {
@@ -229,57 +276,84 @@ func (p *partition) reserve(size uint64) {
 	}
 }
 
-// readAt decodes the entry at absolute log offset off. ok is false when
-// the entry has been overwritten by log wraparound.
-func (p *partition) readAt(off uint64) (key, value []byte, ok bool) {
+// header decodes the key and value lengths of the entry at absolute log
+// offset off. ok is false when the entry has been overwritten by log
+// wraparound.
+//
+//altolint:hotpath
+func (p *partition) header(off uint64) (klen, vlen uint64, ok bool) {
 	if off < p.head || off+entryHeader > p.tail {
-		return nil, nil, false
+		return 0, 0, false
 	}
 	var hdr [entryHeader]byte
 	p.copyOut(hdr[:], off)
-	klen := uint64(binary.LittleEndian.Uint16(hdr[0:2]))
-	vlen := uint64(binary.LittleEndian.Uint32(hdr[2:6]))
-	end := off + entryHeader + klen + vlen
-	if end > p.tail {
-		return nil, nil, false
+	klen = uint64(binary.LittleEndian.Uint16(hdr[0:2]))
+	vlen = uint64(binary.LittleEndian.Uint32(hdr[2:6]))
+	if off+entryHeader+klen+vlen > p.tail {
+		return 0, 0, false
 	}
-	key = make([]byte, klen)
-	value = make([]byte, vlen)
-	p.copyOut(key, off+entryHeader)
-	p.copyOut(value, off+entryHeader+klen)
-	return key, value, true
+	return klen, vlen, true
+}
+
+// holds reports whether the live entry at off stores key.
+//
+//altolint:hotpath
+func (p *partition) holds(off uint64, key []byte) bool {
+	klen, _, ok := p.header(off)
+	return ok && klen == uint64(len(key)) && p.equalAt(off+entryHeader, key)
+}
+
+// equalAt compares b with the log bytes at absolute offset off, in
+// place across the wrap point. len(b) must not exceed the log size.
+//
+//altolint:hotpath
+func (p *partition) equalAt(off uint64, b []byte) bool {
+	first := p.log[off%uint64(len(p.log)):]
+	if len(first) >= len(b) {
+		return string(first[:len(b)]) == string(b)
+	}
+	return string(first) == string(b[:len(first)]) &&
+		string(p.log[:len(b)-len(first)]) == string(b[len(first):])
 }
 
 func (p *partition) scan(n int, fn func(key, value []byte)) int {
 	visited := 0
 	off := p.head
 	for off < p.tail && visited < n {
-		k, v, ok := p.readAt(off)
+		klen, vlen, ok := p.header(off)
 		if !ok {
 			break
 		}
 		if fn != nil {
-			fn(k, v)
+			key := make([]byte, klen)
+			value := make([]byte, vlen)
+			p.copyOut(key, off+entryHeader)
+			p.copyOut(value, off+entryHeader+klen)
+			fn(key, value)
 		}
 		visited++
-		off += entryHeader + uint64(len(k)) + uint64(len(v))
+		off += entryHeader + klen + vlen
 	}
 	return visited
 }
 
+// append writes b at tail, split at the wrap point. len(b) must not
+// exceed the log size.
+//
+//altolint:hotpath
 func (p *partition) append(b []byte) {
-	logSize := uint64(len(p.log))
-	for _, c := range b {
-		p.log[p.tail%logSize] = c
-		p.tail++
-	}
+	n := copy(p.log[p.tail%uint64(len(p.log)):], b)
+	copy(p.log, b[n:])
+	p.tail += uint64(len(b))
 }
 
+// copyOut fills dst from absolute log offset off, split at the wrap
+// point. len(dst) must not exceed the log size.
+//
+//altolint:hotpath
 func (p *partition) copyOut(dst []byte, off uint64) {
-	logSize := uint64(len(p.log))
-	for i := range dst {
-		dst[i] = p.log[(off+uint64(i))%logSize]
-	}
+	n := copy(dst, p.log[off%uint64(len(p.log)):])
+	copy(dst[n:], p.log)
 }
 
 // hash64 is FNV-1a, adequate avalanche for partitioning and tags.

@@ -94,6 +94,49 @@ func TestMICAAppExecutesRealWork(t *testing.T) {
 	}
 }
 
+// prepareOps prepares requests until it holds one GET, one SET and one
+// SCAN.
+func prepareOps(t *testing.T, app *MICAApp) map[rpcproto.Op]*rpcproto.Request {
+	t.Helper()
+	rng := sim.NewRNG(4)
+	ops := map[rpcproto.Op]*rpcproto.Request{}
+	for i := 0; len(ops) < 3; i++ {
+		if i == 10000 {
+			t.Fatalf("prepared only %d of 3 op kinds", len(ops))
+		}
+		r := &rpcproto.Request{}
+		app.Prepare(r, rng)
+		ops[r.Op] = r
+	}
+	return ops
+}
+
+func TestMICAAppSetWritesKeyFill(t *testing.T) {
+	app := newTestApp(t, 2, 0.3)
+	r := prepareOps(t, app)[rpcproto.OpSet]
+	r.OnExecute(r)
+	v, ok := app.Store.Get(r.Payload)
+	if !ok || len(v) != app.ValLen {
+		t.Fatalf("SET left %d B ok=%v, want %d B", len(v), ok, app.ValLen)
+	}
+	fill := byte(binaryKeyID(r.Payload))
+	for _, b := range v {
+		if b != fill {
+			t.Fatalf("SET value byte %#x, want the key's fill %#x", b, fill)
+		}
+	}
+}
+
+func TestMICAAppExecuteZeroAlloc(t *testing.T) {
+	app := newTestApp(t, 2, 0.3)
+	for op, r := range prepareOps(t, app) {
+		r.OnExecute(r) // warm: the first GET or SET sizes the app's scratch
+		if avg := testing.AllocsPerRun(100, func() { r.OnExecute(r) }); avg != 0 {
+			t.Errorf("%v OnExecute allocates %.1f times per op, want 0", op, avg)
+		}
+	}
+}
+
 func TestMICAAppMigratedPenalty(t *testing.T) {
 	app := newTestApp(t, 2, 0)
 	rng := sim.NewRNG(3)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -203,13 +204,20 @@ func RunRack(rc RackConfig, cfg Config, wl Workload) (*RackResult, error) {
 // dispatcher, which routes each request to one server's NIC receive
 // path; each server runs its own scheduler, cores, and (by default)
 // invariant checker, with a rack-level checker proving inter-server
-// conservation and bounded staleness on top.
+// conservation and bounded staleness on top. The rack draws each
+// request from Workload.App or Workload.Service; a Workload.Profile is
+// rejected.
 func RunRackWith(sc *Scratch, rc RackConfig, cfg Config, wl Workload) (*RackResult, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
 	if wl.N <= 0 {
 		return nil, fmt.Errorf("server: workload N = %d", wl.N)
+	}
+	if wl.Profile != nil {
+		// The rack generator draws App or Service only; a phase chain
+		// would be dropped (or, with no Service, dereference nil).
+		return nil, errors.New("server: RunRack does not support Workload.Profile (multi-phase chains); use RunWith")
 	}
 	if wl.Conns <= 0 {
 		wl.Conns = 1024

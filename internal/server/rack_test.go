@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -220,5 +221,25 @@ func TestRackConfigValidate(t *testing.T) {
 	bad.N = 0
 	if _, err := RunRack(RackConfig{Servers: 2}, cfg, bad); err == nil {
 		t.Fatal("empty workload accepted")
+	}
+}
+
+func TestRackRejectsPhaseProfile(t *testing.T) {
+	rc, cfg, wl := rackGoldenConfig()
+	prof := dist.NewPhaseProfile("two", dist.PhaseSpec{Dist: dist.Fixed{V: sim.Microsecond}},
+		dist.PhaseSpec{Dist: dist.Fixed{V: sim.Microsecond}})
+	for _, tc := range []struct {
+		name    string
+		service dist.ServiceDist
+	}{
+		{"profile only", nil},               // used to dereference the nil Service
+		{"profile and service", wl.Service}, // used to drop the profile silently
+	} {
+		bad := wl
+		bad.Service, bad.Profile = tc.service, prof
+		_, err := RunRack(rc, cfg, bad)
+		if err == nil || !strings.Contains(err.Error(), "Workload.Profile") {
+			t.Errorf("%s: err = %v, want a rejection naming Workload.Profile", tc.name, err)
+		}
 	}
 }

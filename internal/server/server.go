@@ -173,6 +173,7 @@ type Workload struct {
 	// instead of one Service sample. Precedence: App > Profile >
 	// Service. A 1-phase neutral profile consumes the identical RNG
 	// stream as its bare distribution, so runs are byte-identical.
+	// RunRack rejects a workload with a Profile.
 	Profile *dist.PhaseProfile
 	N       int // total requests
 	Warmup  int // initial completions excluded from the latency sample

@@ -17,12 +17,13 @@
 #                      scale (checker on) plus two bounded altorack
 #                      loopback soaks under -race
 #   6. coverage ratchet the invariant-bearing packages (internal/sim,
-#                      internal/sched, internal/check) must stay above
-#                      their recorded coverage floors
-#   7. fuzz smoke      30s total of FuzzEngineHeap (event heap vs
+#                      internal/sched, internal/check, internal/mica)
+#                      must stay above their recorded coverage floors
+#   7. fuzz smoke      40s total of FuzzEngineHeap (event heap vs
 #                      container/heap oracle), FuzzTraceRoundTrip
-#                      (CSV/JSONL codec round trip), and
-#                      FuzzPhaseRoundTrip (phase-boundary sidecar codec)
+#                      (CSV/JSONL codec round trip), FuzzPhaseRoundTrip
+#                      (phase-boundary sidecar codec), and FuzzStoreOps
+#                      (MICA store vs its byte-at-a-time reference)
 #                      over the committed corpora plus fresh mutations
 #   8. bigtopo smoke   the 1024-core big-topology grids at quick scale
 #                      with the checker on, timed so the wall cost of
@@ -122,11 +123,13 @@ check_cover() {
 check_cover ./internal/sim 90
 check_cover ./internal/sched 82
 check_cover ./internal/check 86
+check_cover ./internal/mica 90
 
-echo "== fuzz smoke (30s)"
+echo "== fuzz smoke (40s)"
 go test ./internal/sim -run '^$' -fuzz '^FuzzEngineHeap$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzPhaseRoundTrip$' -fuzztime 10s >/dev/null
+go test ./internal/mica -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime 10s >/dev/null
 
 echo "== big-topology smoke (1024-core grids, quick scale, invariant checker on)"
 # The bigtopo experiment is the heaviest registered run (9 grid points,
