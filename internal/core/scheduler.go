@@ -31,7 +31,7 @@ type group struct {
 	// this group's index within that peer list. Migration state — the
 	// synchronized view, rank permutation, UPDATE broadcast, decide() —
 	// is all expressed in peer-index space. Homogeneous configurations
-	// have peers == all groups and peerIdx == id, so every packed value
+	// have peers == all groups and peerIdx == id, so every UPDATE value
 	// and event order is bit-identical to the pre-class runtime.
 	class   uint8
 	peers   []int
@@ -45,6 +45,12 @@ type group struct {
 	// not O(cores)).
 	view []int
 	rank *policy.RankTracker
+
+	// inbox holds the UPDATEs sent to this manager that have not landed
+	// yet, in send order, each stamped with the engine position its
+	// arrival would have had as an event. land applies the passed ones
+	// when the view is next read (DESIGN.md §14).
+	inbox []update
 
 	mr   *hwmsg.MRFile
 	send *hwmsg.FIFO
@@ -65,15 +71,34 @@ type group struct {
 	phaseLandFn func(any, int64)
 }
 
-// updateLand applies one UPDATE message landing at a manager: the
-// destination group's synchronized view of the sender refreshes. It is a
-// package-level arg-event trampoline (arg = destination group,
-// n = sender peer index in the high 32 bits, observed queue length in
-// the low 32), so the per-tick broadcast allocates nothing. The write
-// goes through the rank tracker: an unchanged length is dropped, a
-// changed one joins the dirty set the next decide() repairs.
-func updateLand(arg any, n int64) {
-	arg.(*group).rank.Set(int(n>>32), int(int32(n)))
+// update is one UPDATE in flight to a manager: the sender's peer index
+// and observed queue length, landing at the engine position at.
+type update struct {
+	at   sim.Stamp
+	peer int32
+	qlen int32
+}
+
+// land applies every UPDATE in g's inbox whose arrival the engine has
+// passed, and keeps the rest in order. Applying in send order rather
+// than arrival order is exact: updates from one sender reach g in send
+// order (one source link, or the sender's manager core under
+// SoftwareMessaging, and a fixed hop count), so each view entry ends at
+// the latest value that has landed; and the rank permutation is unique
+// for any order of Set calls. An unchanged length is dropped by the
+// tracker, a changed one joins the dirty set the next decide() repairs.
+//
+//altolint:hotpath
+func (s *Scheduler) land(g *group) {
+	kept := g.inbox[:0]
+	for _, u := range g.inbox {
+		if s.eng.Passed(u.at) {
+			g.rank.Set(int(u.peer), int(u.qlen))
+		} else {
+			kept = append(kept, u) //altolint:allow hotalloc in-place compaction: kept never outgrows inbox
+		}
+	}
+	g.inbox = kept
 }
 
 // Scheduler is the ALTOCUMULUS runtime: Algorithm 1 running on every
@@ -192,6 +217,7 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 			peers:   peers,
 			peerIdx: peerCursor[cls],
 			rank:    policy.NewRankTracker(len(peers)),
+			inbox:   make([]update, 0, 2*len(peers)),
 			mr:      hwmsg.NewMRFile(p.MRCapacity),
 			send:    hwmsg.NewFIFO(p.FIFOCapacity),
 			recv:    hwmsg.NewFIFO(p.FIFOCapacity),
@@ -304,10 +330,14 @@ func (s *Scheduler) Cores() []*exec.Core {
 }
 
 // GroupView returns group gid's synchronized queue-length vector
-// (instrumentation for the Fig. 9 snapshot analysis).
+// (instrumentation for the Fig. 9 snapshot analysis): every UPDATE the
+// engine has passed — inside a callback, those sorting before it; after
+// Run returns, those the run reached — has landed.
 func (s *Scheduler) GroupView(gid int) []int {
-	out := make([]int, len(s.groups[gid].view))
-	copy(out, s.groups[gid].view)
+	g := s.groups[gid]
+	s.land(g)
+	out := make([]int, len(g.view))
+	copy(out, g.view)
 	return out
 }
 
@@ -433,6 +463,7 @@ func (s *Scheduler) tick(g *group) {
 		return
 	}
 	s.Stats.Ticks++
+	s.land(g)
 
 	// Close the measurement window once per period (first manager only).
 	if g.id == 0 {
@@ -467,8 +498,9 @@ func (s *Scheduler) tick(g *group) {
 
 	// Refresh own view entry and broadcast UPDATE to the managers of
 	// this group's class peers (all managers when homogeneous). Each
-	// UPDATE rides an arg-event (destination group + packed sender peer
-	// index/qlen) so the broadcast allocates nothing.
+	// UPDATE joins the receiver's inbox under the engine position its
+	// arrival event would have taken; the receiver lands it when it
+	// next reads its view, so the broadcast schedules no events.
 	qlen := g.netrx.Len()
 	g.rank.Set(g.peerIdx, qlen)
 	for _, pid := range g.peers {
@@ -478,7 +510,9 @@ func (s *Scheduler) tick(g *group) {
 		}
 		_, arrive := s.msgSend(g, h.tile, hwmsg.UpdateWireSize)
 		s.Stats.UpdatesSent++
-		s.eng.AtArg(now+arrive, updateLand, h, int64(g.peerIdx)<<32|int64(qlen))
+		h.inbox = append(h.inbox, update{
+			at: s.eng.Reserve(now + arrive), peer: int32(g.peerIdx), qlen: int32(qlen),
+		})
 	}
 
 	// Threshold from the analytical model under the measured load (or

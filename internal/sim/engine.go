@@ -81,7 +81,29 @@ type Engine struct {
 	stop    bool
 	firing  int32 // slab index of the callback currently executing, -1 otherwise
 	rearmed bool  // the executing callback called Rearm
+
+	// Reserve/Passed state. (passAt, passSeq) is the exclusive frontier
+	// of fired positions: an event at (at, seq) has fired iff it sorts
+	// before it. fire sets it to the executing event's position before
+	// the callback (so a Rearm inside the callback cannot move it), and
+	// settle lifts it past the reservations a Run horizon covers.
+	// reserved holds the stamps not yet known to be behind the frontier,
+	// so Run can move the clock exactly as it would had each been an
+	// event.
+	passAt   Time
+	passSeq  uint64
+	reserved []Stamp
 }
+
+// Stamp is an (at, seq) position in the engine's firing order, taken by
+// Reserve without scheduling anything.
+type Stamp struct {
+	At  Time
+	Seq uint64
+}
+
+// maxTime is the horizon RunAll settles reservations against.
+const maxTime = Time(1<<63 - 1)
 
 // NewEngine returns an engine with the clock at zero, scheduling on the
 // timer-wheel backend.
@@ -116,8 +138,72 @@ func NewEngineHeap() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far.
+// Processed returns the number of events executed so far. Reserved
+// stamps are not events: passing one is not counted.
 func (e *Engine) Processed() uint64 { return e.nEvent }
+
+// Reserve takes the position AtArg(t, …) would give an event scheduled
+// at this point — t clamped to now, the next sequence number — without
+// scheduling one. Every later event keeps the (at, seq) it would have
+// had, so a caller can hold the stamped work itself and apply it once
+// Passed reports the stamp behind the engine. Reservations move the
+// clock like events: Run and RunAll leave Now() where they would have
+// left it had each stamp been scheduled as a no-op event.
+//
+//altolint:hotpath
+func (e *Engine) Reserve(t Time) Stamp {
+	if t < e.now {
+		t = e.now
+	}
+	s := Stamp{At: t, Seq: e.seq}
+	e.seq++
+	if len(e.reserved) == cap(e.reserved) {
+		e.pruneReserved()
+	}
+	e.reserved = append(e.reserved, s) //altolint:allow hotalloc amortized growth into a retained backing array, pruned at capacity
+	return s
+}
+
+// Passed reports whether an event scheduled with stamp s would already
+// have fired. Inside a callback that means s sorts before the executing
+// event (its position when it fired, not the one a Rearm gave it);
+// between Run calls it means the last Run, RunAll or Stop would have
+// fired it.
+//
+//altolint:hotpath
+func (e *Engine) Passed(s Stamp) bool {
+	return s.At < e.passAt || (s.At == e.passAt && s.Seq < e.passSeq)
+}
+
+// pruneReserved drops the reservations already behind the frontier.
+func (e *Engine) pruneReserved() {
+	kept := e.reserved[:0]
+	for _, s := range e.reserved {
+		if !e.Passed(s) {
+			kept = append(kept, s)
+		}
+	}
+	e.reserved = kept
+}
+
+// settle passes every reservation at or before until, as a run to that
+// horizon would have fired them: the frontier moves past the latest and
+// the clock to its instant. Only the stamps beyond until stay reserved.
+func (e *Engine) settle(until Time) {
+	kept := e.reserved[:0]
+	for _, s := range e.reserved {
+		switch {
+		case s.At > until:
+			kept = append(kept, s)
+		case !e.Passed(s):
+			e.passAt, e.passSeq = s.At, s.Seq+1
+		}
+	}
+	e.reserved = kept
+	if e.passAt > e.now {
+		e.now = e.passAt
+	}
+}
 
 // qpush / qpop / qpeekAt / qlen / qcompact dispatch to the active
 // backend. qlen counts queued entries dead included, so the compaction
@@ -163,8 +249,13 @@ func (e *Engine) qlen() int {
 // maybeCompact compacts once dead entries dominate, so
 // cancellation-heavy schedulers (JBSQ re-arms, manager period timers)
 // cannot grow the queue without bound.
+//
+// Outstanding reservations count as live queued entries, so compaction
+// runs exactly when it would had each been scheduled as an event.
 func (e *Engine) maybeCompact() {
-	if n := e.qlen(); n > 1 && n-e.pending > n/2 {
+	e.pruneReserved()
+	v := len(e.reserved)
+	if n := e.qlen() + v; n > 1 && n-(e.pending+v) > n/2 {
 		if e.wheel != nil {
 			e.wcompact()
 		} else {
@@ -328,6 +419,7 @@ func (e *Engine) fire(i int32) {
 	ev := &e.events[i]
 	ev.gen++
 	act, actArg, arg, argN := ev.act, ev.actArg, ev.arg, ev.argN
+	e.passAt, e.passSeq = ev.at, ev.seq
 	e.firing = i
 	e.rearmed = false
 	if act != nil {
@@ -359,6 +451,7 @@ func (e *Engine) Run(until Time) uint64 {
 	for !e.stop {
 		at, ok := e.qpeekAt()
 		if !ok || at > until {
+			e.settle(until)
 			break
 		}
 		i := e.qpop()
@@ -374,17 +467,25 @@ func (e *Engine) Run(until Time) uint64 {
 		e.nEvent++
 	}
 	if e.now < until && e.qlen() == 0 {
-		e.now = until
+		// An outstanding reservation would still be queued as an event.
+		e.pruneReserved()
+		if len(e.reserved) == 0 {
+			e.now = until
+		}
 	}
 	return n
 }
 
 // RunAll executes events until the queue drains. Unlike Run, it leaves the
-// clock at the time of the last executed event.
+// clock at the time of the last executed event (or passed reservation).
 func (e *Engine) RunAll() uint64 {
 	e.stop = false
 	var n uint64
-	for !e.stop && e.qlen() > 0 {
+	for !e.stop {
+		if e.qlen() == 0 {
+			e.settle(maxTime)
+			break
+		}
 		i := e.qpop()
 		ev := &e.events[i]
 		if ev.dead {

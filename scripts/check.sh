@@ -17,11 +17,14 @@
 #                      scale (checker on) plus two bounded altorack
 #                      loopback soaks under -race
 #   6. coverage ratchet the invariant-bearing packages (internal/sim,
-#                      internal/sched, internal/check, internal/mica)
-#                      must stay above their recorded coverage floors
-#   7. fuzz smoke      40s total of FuzzEngineHeap (event heap vs
-#                      container/heap oracle), FuzzTraceRoundTrip
-#                      (CSV/JSONL codec round trip), FuzzPhaseRoundTrip
+#                      internal/sched, internal/check, internal/mica,
+#                      internal/core) must stay above their recorded
+#                      coverage floors
+#   7. fuzz smoke      50s total of FuzzEngineHeap (event heap vs
+#                      container/heap oracle), FuzzEngineStamp (Reserve/
+#                      Passed vs an engine scheduling each reservation
+#                      as a real event), FuzzTraceRoundTrip (CSV/JSONL
+#                      codec round trip), FuzzPhaseRoundTrip
 #                      (phase-boundary sidecar codec), and FuzzStoreOps
 #                      (MICA store vs its byte-at-a-time reference)
 #                      over the committed corpora plus fresh mutations
@@ -124,9 +127,11 @@ check_cover ./internal/sim 90
 check_cover ./internal/sched 82
 check_cover ./internal/check 86
 check_cover ./internal/mica 90
+check_cover ./internal/core 88
 
-echo "== fuzz smoke (40s)"
+echo "== fuzz smoke (50s)"
 go test ./internal/sim -run '^$' -fuzz '^FuzzEngineHeap$' -fuzztime 10s >/dev/null
+go test ./internal/sim -run '^$' -fuzz '^FuzzEngineStamp$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzPhaseRoundTrip$' -fuzztime 10s >/dev/null
 go test ./internal/mica -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime 10s >/dev/null
