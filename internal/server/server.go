@@ -85,7 +85,9 @@ type Config struct {
 	SLO     sim.Time
 	SLOMult float64
 
-	// MaxQueueSnapshot enables periodic queue-length snapshots.
+	// SnapshotEvery, when > 0, records every queue length at this
+	// period into Result.Snapshots (a rack concatenates its servers'
+	// queues in server order).
 	SnapshotEvery sim.Time
 
 	// NoCheck opts this run out of the online invariant checker
@@ -101,13 +103,6 @@ type Config struct {
 	// so allocation-sensitive regressions can be bisected against the
 	// plain-heap path (altobench -noarena).
 	NoArena bool
-
-	// HeapSched runs this simulation on the slab binary-heap event
-	// scheduler instead of the default timer wheel. Results are
-	// byte-identical either way (both backends fire in (at, seq) order);
-	// the reference backend exists so scheduler bugs can be bisected
-	// differentially (altobench -heapsched), mirroring NoArena.
-	HeapSched bool
 }
 
 // arenaEnabled is the process-wide default, written once at startup
@@ -121,28 +116,6 @@ func SetArenaEnabled(on bool) { arenaEnabled = on }
 
 // ArenaEnabled reports the process-wide default.
 func ArenaEnabled() bool { return arenaEnabled }
-
-// heapSched is the process-wide event-scheduler default, written once
-// at startup (the altobench -heapsched flag) before any run begins —
-// the same contract as SetArenaEnabled.
-var heapSched = false
-
-// SetHeapSched flips the process-wide scheduler default to the slab
-// binary heap. Call it only before runs start (flag parsing); per-run
-// opt-in is Config.HeapSched.
-func SetHeapSched(on bool) { heapSched = on }
-
-// HeapSchedEnabled reports the process-wide default.
-func HeapSchedEnabled() bool { return heapSched }
-
-// newEngine builds the run's event engine per the config and the
-// process-wide default.
-func newEngine(cfg Config) *sim.Engine {
-	if cfg.HeapSched || heapSched {
-		return sim.NewEngineHeap()
-	}
-	return sim.NewEngine()
-}
 
 // Scratch holds per-worker reusable state for a sequence of runs: the
 // request arena (slabs stay warm across runs) and the handle table.
@@ -173,7 +146,6 @@ type Workload struct {
 	// instead of one Service sample. Precedence: App > Profile >
 	// Service. A 1-phase neutral profile consumes the identical RNG
 	// stream as its bare distribution, so runs are byte-identical.
-	// RunRack rejects a workload with a Profile.
 	Profile *dist.PhaseProfile
 	N       int // total requests
 	Warmup  int // initial completions excluded from the latency sample
@@ -206,28 +178,36 @@ type Snapshot struct {
 	Lens []int
 }
 
-// gen drives the lazily-generated arrival chain. All callbacks are
-// bound once at run start and requests ride through the engine as
-// AtArg/AfterArg payloads, so steady-state generation, arrival, and
-// delivery allocate nothing beyond the request records themselves —
-// and with the arena enabled, not even those.
+// gen drives the lazily-generated arrival chain of a run over one or
+// more servers. All callbacks are bound once at run start and requests
+// ride through the engine as AtArg/AfterArg payloads, so steady-state
+// generation, arrival, and delivery allocate nothing beyond the request
+// records themselves — and with the arena enabled, not even those.
+//
+// A single server is a rack with no dispatch tier: scheds and rxs have
+// one entry and rack is nil. RunRackWith adds the tier, and the arrival
+// callback asks its dispatcher which server's NIC receives the request.
 type gen struct {
 	eng    *sim.Engine
-	s      sched.Scheduler
-	rx     nic.RXModel
 	wl     *Workload
 	arrRNG *sim.RNG
 	svcRNG *sim.RNG
 	res    *Result
 
+	scheds []sched.Scheduler
+	rxs    []nic.RXModel
+	rack   *rackTier // nil without a dispatch tier
+
 	// Arena mode: requests live in ar's slots while in flight and are
 	// copied into the records value slab (which backs res.Requests) at
 	// completion, when every field is final. Heap mode: ar is nil and
 	// each request is a plain allocation kept forever.
-	ar      *arena.Arena
-	handles []arena.RequestID
-	records []rpcproto.Request
+	ar       *arena.Arena
+	handles  []arena.RequestID
+	records  []rpcproto.Request
+	arenaErr error
 
+	nDone      int
 	meanSvcSum float64
 	arriveFn   func(arg any, n int64)
 	deliverFn  func(arg any, n int64)
@@ -264,8 +244,9 @@ func (g *gen) schedule(i int, at sim.Time) {
 	g.meanSvcSum += r.Service.Seconds()
 	// Software stacks charge per-request processing on the core. For a
 	// phased request the stack cost lands on the first phase so the
-	// per-phase durations keep summing to Service.
-	stackCost := g.rx.CoreStackCost(r.Size)
+	// per-phase durations keep summing to Service. Every server runs
+	// the same stack, so server 0's receive model prices it.
+	stackCost := g.rxs[0].CoreStackCost(r.Size)
 	r.Service += stackCost
 	if r.NumPhases > 0 && stackCost > 0 {
 		r.PhaseSvc[0] += stackCost
@@ -275,23 +256,52 @@ func (g *gen) schedule(i int, at sim.Time) {
 	g.eng.AtArg(at, g.arriveFn, r, int64(gap))
 }
 
-// arrive is the bound arrival callback: stamp the arrival, book the
-// NIC delivery, and generate the next request. The event creation
-// order (delivery before next arrival) matches the original closure
-// chain exactly.
+// arrive is the bound arrival callback: stamp the arrival, pick the
+// receiving server (the rack dispatch decision, when there is a tier),
+// book its NIC delivery, and generate the next request. The event
+// creation order (delivery before next arrival) matches the original
+// closure chain exactly.
 //
 //altolint:hotpath
 func (g *gen) arrive(arg any, gapN int64) {
 	r := arg.(*rpcproto.Request)
 	now := g.eng.Now()
 	r.Arrival = now
-	g.eng.AfterArg(g.rx.Delay(r.Size), g.deliverFn, r, 0)
+	srv := 0
+	if g.rack != nil {
+		srv = g.dispatch(r, now)
+	}
+	g.eng.AfterArg(g.rxs[srv].Delay(r.Size), g.deliverFn, r, int64(srv))
 	g.schedule(int(r.ID)+1, now+sim.Time(gapN))
 }
 
 //altolint:hotpath
-func (g *gen) deliver(arg any, _ int64) {
-	g.s.Deliver(arg.(*rpcproto.Request))
+func (g *gen) deliver(arg any, srv int64) {
+	g.scheds[srv].Deliver(arg.(*rpcproto.Request))
+}
+
+// complete is server srv's completion path, behind its checker.
+func (g *gen) complete(srv int, r *rpcproto.Request) {
+	g.nDone++
+	if g.rack != nil {
+		g.rackComplete(srv, r)
+	}
+	if int(r.ID) >= g.wl.Warmup {
+		g.res.Lat.Add(r.Latency())
+	}
+	if r.Finish > g.res.Duration {
+		g.res.Duration = r.Finish
+	}
+	if g.ar != nil {
+		// Every field is final at completion; snapshot the record, then
+		// recycle the slot. A stale handle here means a request
+		// completed twice — remember the first occurrence and fail the
+		// run after the loop (the checker reports it too).
+		g.records[r.ID] = *r
+		if !g.ar.Release(g.handles[r.ID]) && g.arenaErr == nil {
+			g.arenaErr = fmt.Errorf("server: request %d released with stale arena handle", r.ID)
+		}
+	}
 }
 
 // Run executes the workload against the configured server with a
@@ -304,8 +314,17 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 // runs (sc == nil allocates a fresh Scratch; pass one only from a
 // single goroutine at a time). Results are independent of sc.
 func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
+	res, _, err := run(sc, nil, cfg, wl)
+	return res, err
+}
+
+// run is the one run body behind RunWith (rc == nil: one server, no
+// dispatch tier) and RunRackWith (rc.Servers servers behind the rack
+// dispatcher). One engine drives every server; each runs its own
+// scheduler, cores, and (by default) invariant checker.
+func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*Result, *RackResult, error) {
 	if wl.N <= 0 {
-		return nil, fmt.Errorf("server: workload N = %d", wl.N)
+		return nil, nil, fmt.Errorf("server: workload N = %d", wl.N)
 	}
 	if wl.Conns <= 0 {
 		wl.Conns = 1024
@@ -316,21 +335,22 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	if cfg.Cost.ClockHz == 0 {
 		cfg.Cost = fabric.Default()
 	}
+	servers := 1
+	if rc != nil {
+		servers = rc.Servers
+	}
 
-	eng := newEngine(cfg)
+	eng := sim.NewEngine()
 	root := sim.NewRNG(cfg.Seed)
 	arrRNG := root.Fork(1)
 	svcRNG := root.Fork(2)
-	steerRNG := root.Fork(3)
-	schedRNG := root.Fork(4)
 
 	res := &Result{
-		Name:     cfg.Kind.String(),
 		Lat:      stats.NewSample(wl.N),
 		Requests: make([]*rpcproto.Request, wl.N),
 	}
-
 	g := &gen{eng: eng, wl: &wl, arrRNG: arrRNG, svcRNG: svcRNG, res: res}
+	checkOn := !cfg.NoCheck && check.Enabled() && (rc == nil || !rc.NoCheck)
 	liveBefore := 0
 	if !cfg.NoArena && ArenaEnabled() {
 		if sc == nil {
@@ -347,65 +367,80 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 		g.records = make([]rpcproto.Request, wl.N)
 	}
 
-	nDone := 0
-	var arenaErr error
-	done := func(r *rpcproto.Request) {
-		nDone++
-		if int(r.ID) >= wl.Warmup {
-			res.Lat.Add(r.Latency())
-		}
-		if r.Finish > res.Duration {
-			res.Duration = r.Finish
-		}
-		if g.ar != nil {
-			// Every field is final at completion; snapshot the record,
-			// then recycle the slot. A stale handle here means a request
-			// completed twice — remember the first occurrence and fail
-			// the run after the loop (the checker reports it too).
-			g.records[r.ID] = *r
-			if !g.ar.Release(g.handles[r.ID]) && arenaErr == nil {
-				arenaErr = fmt.Errorf("server: request %d released with stale arena handle", r.ID)
+	// Build each server — scheduler, NIC receive model, and its own
+	// passive invariant checker — in index order. Server s forks tags
+	// 3+2s and 4+2s: server 0 gets exactly the forks (and parent-state
+	// draws) a single-server run makes, so a rack of one replays it
+	// stream for stream.
+	g.scheds = make([]sched.Scheduler, servers)
+	g.rxs = make([]nic.RXModel, servers)
+	checkers := make([]*check.Checker, servers)
+	for s := range g.scheds {
+		srv := s
+		done := sched.Done(func(r *rpcproto.Request) { g.complete(srv, r) })
+		if checkOn {
+			opt := check.Options{
+				AllowRemigration: cfg.Kind == SchedAltocumulus && cfg.AC.AllowRemigration,
+				WorkConserving:   cfg.Kind == SchedZygOS,
 			}
+			if rc == nil {
+				// Behind a dispatcher a server sees an unknown subset of
+				// the ids; the rack checker owns whole-run conservation.
+				opt.Expected = wl.N
+			}
+			checkers[s] = check.New(opt)
+			done = checkers[s].WrapDone(done)
 		}
+		steerRNG := root.Fork(uint64(3 + 2*s))
+		schedRNG := root.Fork(uint64(4 + 2*s))
+		sch, rx, err := build(cfg, s, eng, steerRNG, schedRNG, done)
+		if err != nil {
+			return nil, nil, err
+		}
+		if chk := checkers[s]; chk != nil {
+			sch.(interface{ SetObserver(sched.Observer) }).SetObserver(chk)
+			chk.Attach(eng, checkSpecs(cfg), sch.QueueLensInto)
+		}
+		g.scheds[s], g.rxs[s] = sch, rx
 	}
-
-	var chk *check.Checker
-	if !cfg.NoCheck && check.Enabled() {
-		chk = check.New(check.Options{
-			Expected:         wl.N,
-			AllowRemigration: cfg.Kind == SchedAltocumulus && cfg.AC.AllowRemigration,
-			WorkConserving:   cfg.Kind == SchedZygOS,
-		})
-		done = chk.WrapDone(done)
+	if rc != nil {
+		// The rack's own RNG forks last: with one server the dispatcher
+		// never draws from it.
+		t, err := newRackTier(*rc, wl.N, res, root.Fork(uint64(3+2*servers)), checkOn)
+		if err != nil {
+			return nil, nil, err
+		}
+		g.rack = t
 	}
-
-	s, rx, err := build(cfg, eng, steerRNG, schedRNG, done)
-	if err != nil {
-		return nil, err
-	}
-	if chk != nil {
-		s.(interface{ SetObserver(sched.Observer) }).SetObserver(chk)
-		chk.Attach(eng, checkSpecs(cfg), s.QueueLensInto)
-	}
-	res.Name = s.Name()
+	res.Name = g.scheds[0].Name()
 	if cfg.Kind == SchedAltocumulus {
 		res.Name = "Altocumulus"
+	}
+	if rc != nil {
+		res.Name = fmt.Sprintf("rack-of-%d[%s] %s", rc.Servers, rc.Policy, res.Name)
 	}
 
 	// Lazily-generated arrival chain: one event in flight at a time,
 	// driven by the pre-bound gen callbacks.
-	g.s, g.rx = s, rx
 	g.arriveFn = g.arrive
 	g.deliverFn = g.deliver
+	if g.rack != nil {
+		g.startSampler()
+	}
 	g.schedule(0, 0)
 
 	if cfg.SnapshotEvery > 0 {
 		var snap func()
 		snap = func() {
-			if nDone >= wl.N {
+			if g.nDone >= wl.N {
 				return
 			}
-			res.Snapshots = append(res.Snapshots, Snapshot{At: eng.Now(), Lens: s.QueueLens()})
+			// One entry per queue, servers concatenated in index order.
+			var lens []int
+			for _, s := range g.scheds {
+				lens = append(lens, s.QueueLens()...)
+			}
+			res.Snapshots = append(res.Snapshots, Snapshot{At: eng.Now(), Lens: lens})
 			eng.After(cfg.SnapshotEvery, snap)
 		}
 		eng.After(cfg.SnapshotEvery, snap)
@@ -414,43 +449,68 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	// Run to completion; the AC runtime ticks forever, so run in chunks.
 	const chunk = 5 * sim.Millisecond
 	const hardCap = 100 * sim.Second
-	for nDone < wl.N {
+	for g.nDone < wl.N {
 		if eng.Now() > hardCap {
-			return nil, fmt.Errorf("server: %s did not finish %d requests within %v (done %d)",
-				res.Name, wl.N, hardCap, nDone)
+			return nil, nil, fmt.Errorf("server: %s did not finish %d requests within %v (done %d)",
+				res.Name, wl.N, hardCap, g.nDone)
 		}
 		eng.Run(eng.Now() + chunk)
 	}
-	if arenaErr != nil {
-		return nil, arenaErr
+	if g.arenaErr != nil {
+		return nil, nil, g.arenaErr
 	}
 	if g.ar != nil && g.ar.Live() != liveBefore {
-		return nil, fmt.Errorf("server: %s leaked %d arena requests",
+		return nil, nil, fmt.Errorf("server: %s leaked %d arena requests",
 			res.Name, g.ar.Live()-liveBefore)
 	}
-	if ac, ok := s.(*core.Scheduler); ok {
-		ac.Stop()
-		res.ACStats = ac.Stats
-	}
-	if rp, ok := s.(*sched.RSSPlus); ok {
-		rp.Stop()
-	}
-	if z, ok := s.(*sched.Steal); ok {
-		res.StealFrac = z.StealFraction()
-	}
-	if cs, ok := s.(interface{ Cores() []*exec.Core }); ok && res.Duration > 0 {
-		var busy float64
-		cores := cs.Cores()
-		for _, c := range cores {
-			busy += c.BusyTime().Seconds()
+
+	// Scheduler-specific statistics (ACStats, StealFrac) report server
+	// 0; worker utilization averages over every server's cores.
+	var busy float64
+	var nCores int
+	for s, sch := range g.scheds {
+		if ac, ok := sch.(*core.Scheduler); ok {
+			ac.Stop()
+			if s == 0 {
+				res.ACStats = ac.Stats
+			}
 		}
-		res.WorkerUtilization = busy / (res.Duration.Seconds() * float64(len(cores)))
+		if rp, ok := sch.(*sched.RSSPlus); ok {
+			rp.Stop()
+		}
+		if z, ok := sch.(*sched.Steal); ok && s == 0 {
+			res.StealFrac = z.StealFraction()
+		}
+		if cs, ok := sch.(interface{ Cores() []*exec.Core }); ok {
+			for _, c := range cs.Cores() {
+				busy += c.BusyTime().Seconds()
+			}
+			nCores += len(cs.Cores())
+		}
+	}
+	if res.Duration > 0 && nCores > 0 {
+		res.WorkerUtilization = busy / (res.Duration.Seconds() * float64(nCores))
 	}
 
-	if chk != nil {
-		res.Check = chk.Finalize()
-		if err := res.Check.Err(); err != nil {
-			return nil, fmt.Errorf("server: %s: %w", res.Name, err)
+	var reports []*check.Report
+	if checkOn {
+		reports = make([]*check.Report, servers)
+		for s, chk := range checkers {
+			reports[s] = chk.Finalize()
+			if err := reports[s].Err(); err != nil {
+				if rc != nil {
+					return nil, nil, fmt.Errorf("server: %s server %d: %w", res.Name, s, err)
+				}
+				return nil, nil, fmt.Errorf("server: %s: %w", res.Name, err)
+			}
+		}
+		res.Check = reports[0]
+	}
+	var rr *RackResult
+	if g.rack != nil {
+		var err error
+		if rr, err = g.finishRack(reports); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -464,7 +524,7 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	if res.Duration > 0 {
 		res.DoneRPS = float64(wl.N) / res.Duration.Seconds()
 	}
-	return res, nil
+	return res, rr, nil
 }
 
 // checkSpecs maps a config's scheduler onto the checker's queue
@@ -502,8 +562,9 @@ func checkSpecs(cfg Config) []check.QueueSpec {
 	return specs
 }
 
-// build constructs the scheduler and NIC receive model for a config.
-func build(cfg Config, eng *sim.Engine, steerRNG, schedRNG *sim.RNG, done sched.Done) (sched.Scheduler, nic.RXModel, error) {
+// build constructs the scheduler and NIC receive model of server srv
+// (0 outside a rack) for a config.
+func build(cfg Config, srv int, eng *sim.Engine, steerRNG, schedRNG *sim.RNG, done sched.Done) (sched.Scheduler, nic.RXModel, error) {
 	cost := cfg.Cost
 	stack := rpcproto.NewStack(cfg.Stack)
 
@@ -556,6 +617,13 @@ func build(cfg Config, eng *sim.Engine, steerRNG, schedRNG *sim.RNG, done sched.
 		// so the caller's Params are untouched.
 		if cfg.AC.ForwardSeed == 0 {
 			cfg.AC.ForwardSeed = cfg.Seed
+		}
+		if srv > 0 {
+			// Each rack server forwards from its own stream, hashed
+			// through a fork so no two servers' splitmix sequences are
+			// shifts of one another. Server 0 keeps the seed, so a rack
+			// of one replays a single-server run.
+			cfg.AC.ForwardSeed = sim.NewRNG(cfg.AC.ForwardSeed).Fork(uint64(srv)).Uint64()
 		}
 		st := nic.NewSteerer(cfg.Steer, cfg.AC.Groups, steerRNG)
 		s, err := core.New(eng, cfg.AC, cost, st, done)

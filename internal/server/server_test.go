@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/nic"
+	"repro/internal/rack"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 )
@@ -167,19 +168,37 @@ func TestThroughputAtSLO(t *testing.T) {
 	}
 }
 
+// TestSnapshots: a run with SnapshotEvery records one entry per queue;
+// a rack concatenates every server's queues in server order.
 func TestSnapshots(t *testing.T) {
 	svc := dist.Fixed{V: us(1)}
-	res, err := Run(Config{Kind: SchedRSS, Cores: 4, Stack: rpcproto.StackNanoRPC,
-		Steer: nic.SteerConnection, Seed: 5, SnapshotEvery: 10 * sim.Microsecond},
-		Workload{Arrivals: poisson(0.8, 4, svc), Service: svc, N: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Snapshots) == 0 {
-		t.Fatal("no snapshots collected")
-	}
-	if got := len(res.Snapshots[0].Lens); got != 4 {
-		t.Fatalf("snapshot width = %d", got)
+	cfg := Config{Kind: SchedRSS, Cores: 4, Stack: rpcproto.StackNanoRPC,
+		Steer: nic.SteerConnection, Seed: 5, SnapshotEvery: 10 * sim.Microsecond}
+	for _, servers := range []int{0, 3} { // 0: RunWith, no rack tier
+		width := max(servers, 1)
+		wl := Workload{Arrivals: poisson(0.8, 4*width, svc), Service: svc, N: 2000}
+		var res *Result
+		var err error
+		if servers == 0 {
+			res, err = Run(cfg, wl)
+		} else {
+			var rr *RackResult
+			rr, err = RunRack(RackConfig{Servers: servers, Policy: rack.RoundRobin}, cfg, wl)
+			if rr != nil {
+				res = rr.Result
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Snapshots) == 0 {
+			t.Fatalf("servers=%d: no snapshots collected", servers)
+		}
+		for _, sn := range res.Snapshots {
+			if got := len(sn.Lens); got != 4*width {
+				t.Fatalf("servers=%d: snapshot width = %d, want %d", servers, got, 4*width)
+			}
+		}
 	}
 }
 

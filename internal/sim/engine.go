@@ -65,16 +65,14 @@ func (id EventID) Valid() bool { return id.eng != nil }
 // parallel, the simulator is not — same as ZSim's bound-phase model
 // collapsed to a strict event order).
 //
-// Two scheduler backends share the slab: the default timer wheel
-// (wheel.go) and the original slab binary heap, kept as a differential
-// reference behind NewEngineHeap. Both fire events in identical
-// (at, seq) order; the fuzz oracle drives them against each other.
+// Events are queued on a timer wheel (wheel.go) and fire in (at, seq)
+// order; FuzzEngineHeap checks that order against a container/heap
+// oracle.
 type Engine struct {
 	now     Time
 	seq     uint64
 	events  []event // slot slab; EventID.idx and queue entries index it
 	free    []int32 // recycled slab slots
-	heap    []int32 // binary min-heap of slab indices; nil under the wheel
 	wheel   *timerWheel
 	pending int    // live (scheduled, not cancelled) events
 	nEvent  uint64 // total events executed, for reporting
@@ -105,8 +103,7 @@ type Stamp struct {
 // maxTime is the horizon RunAll settles reservations against.
 const maxTime = Time(1<<63 - 1)
 
-// NewEngine returns an engine with the clock at zero, scheduling on the
-// timer-wheel backend.
+// NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return newEngineWheel(wheelGBits, wheelSlotBits)
 }
@@ -119,18 +116,6 @@ func newEngineWheel(gBits, slotBits uint) *Engine {
 		events: make([]event, 0, 1024),
 		free:   make([]int32, 0, 1024),
 		wheel:  newWheel(gBits, slotBits),
-		firing: -1,
-	}
-}
-
-// NewEngineHeap returns an engine scheduling on the slab binary heap —
-// the pre-wheel scheduler, kept as the differential reference
-// (server.Config.HeapSched / altobench -heapsched select it end to end).
-func NewEngineHeap() *Engine {
-	return &Engine{
-		events: make([]event, 0, 1024),
-		free:   make([]int32, 0, 1024),
-		heap:   make([]int32, 0, 1024),
 		firing: -1,
 	}
 }
@@ -205,62 +190,18 @@ func (e *Engine) settle(until Time) {
 	}
 }
 
-// qpush / qpop / qpeekAt / qlen / qcompact dispatch to the active
-// backend. qlen counts queued entries dead included, so the compaction
-// trigger sees the same population either way.
-
-//altolint:hotpath
-func (e *Engine) qpush(i int32) {
-	if e.wheel != nil {
-		e.wpush(i)
-	} else {
-		e.push(i)
-	}
-}
-
-//altolint:hotpath
-func (e *Engine) qpop() int32 {
-	if e.wheel != nil {
-		return e.wpop()
-	}
-	i := e.heap[0]
-	e.popTop()
-	return i
-}
-
-//altolint:hotpath
-func (e *Engine) qpeekAt() (Time, bool) {
-	if e.wheel != nil {
-		return e.wpeekAt()
-	}
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.events[e.heap[0]].at, true
-}
-
-func (e *Engine) qlen() int {
-	if e.wheel != nil {
-		return e.wlen()
-	}
-	return len(e.heap)
-}
-
 // maybeCompact compacts once dead entries dominate, so
 // cancellation-heavy schedulers (JBSQ re-arms, manager period timers)
-// cannot grow the queue without bound.
+// cannot grow the queue without bound. The wheel's queued count
+// includes dead entries.
 //
 // Outstanding reservations count as live queued entries, so compaction
 // runs exactly when it would had each been scheduled as an event.
 func (e *Engine) maybeCompact() {
 	e.pruneReserved()
 	v := len(e.reserved)
-	if n := e.qlen() + v; n > 1 && n-(e.pending+v) > n/2 {
-		if e.wheel != nil {
-			e.wcompact()
-		} else {
-			e.compact()
-		}
+	if n := e.wlen() + v; n > 1 && n-(e.pending+v) > n/2 {
+		e.wcompact()
 	}
 }
 
@@ -337,7 +278,7 @@ func (e *Engine) At(t Time, f func()) EventID {
 	}
 	i := e.alloc(t, f)
 	gen := e.events[i].gen
-	e.qpush(i)
+	e.wpush(i)
 	e.pending++
 	return EventID{eng: e, gen: gen, idx: i}
 }
@@ -362,7 +303,7 @@ func (e *Engine) AtArg(t Time, f func(arg any, n int64), arg any, n int64) Event
 	}
 	i := e.allocArg(t, f, arg, n)
 	gen := e.events[i].gen
-	e.qpush(i)
+	e.wpush(i)
 	e.pending++
 	return EventID{eng: e, gen: gen, idx: i}
 }
@@ -376,8 +317,8 @@ func (e *Engine) AfterArg(d Time, f func(arg any, n int64), arg any, n int64) Ev
 }
 
 // Rearm reschedules the currently executing callback's own event d
-// after now, reusing its slab slot: no free-list round trip, no heap
-// sift on the wheel backend — the O(1) fast path for periodic events
+// after now, reusing its slab slot: no free-list round trip — the O(1)
+// fast path for periodic events
 // (manager Period ticks, rebalance timers). The callback and payload
 // are retained as-is. Ordering is identical to calling After(d, self)
 // at the same program point: the event takes the next sequence number.
@@ -400,7 +341,7 @@ func (e *Engine) Rearm(d Time) EventID {
 	ev.seq = e.seq
 	e.seq++
 	e.rearmed = true
-	e.qpush(i)
+	e.wpush(i)
 	e.pending++
 	return EventID{eng: e, gen: ev.gen, idx: i}
 }
@@ -449,12 +390,12 @@ func (e *Engine) Run(until Time) uint64 {
 	e.stop = false
 	var n uint64
 	for !e.stop {
-		at, ok := e.qpeekAt()
+		at, ok := e.wpeekAt()
 		if !ok || at > until {
 			e.settle(until)
 			break
 		}
-		i := e.qpop()
+		i := e.wpop()
 		ev := &e.events[i]
 		if ev.dead {
 			e.dropDead(i)
@@ -466,7 +407,7 @@ func (e *Engine) Run(until Time) uint64 {
 		n++
 		e.nEvent++
 	}
-	if e.now < until && e.qlen() == 0 {
+	if e.now < until && e.wlen() == 0 {
 		// An outstanding reservation would still be queued as an event.
 		e.pruneReserved()
 		if len(e.reserved) == 0 {
@@ -482,11 +423,11 @@ func (e *Engine) RunAll() uint64 {
 	e.stop = false
 	var n uint64
 	for !e.stop {
-		if e.qlen() == 0 {
+		if e.wlen() == 0 {
 			e.settle(maxTime)
 			break
 		}
-		i := e.qpop()
+		i := e.wpop()
 		ev := &e.events[i]
 		if ev.dead {
 			e.dropDead(i)
@@ -585,7 +526,7 @@ func (tm *Timer) Arm(t Time) {
 	ev.act = tm.f
 	ev.dead = false
 	tm.gen = ev.gen
-	e.qpush(tm.idx)
+	e.wpush(tm.idx)
 	e.pending++
 }
 
@@ -601,69 +542,4 @@ func (tm *Timer) Disarm() {
 	ev.dead = true
 	e.pending--
 	e.maybeCompact()
-}
-
-// compact drops dead entries from the heap and restores heap order.
-// Linear in heap size, amortised O(1) per cancellation since it only
-// runs when dead entries outnumber live ones.
-func (e *Engine) compact() {
-	kept := e.heap[:0]
-	for _, i := range e.heap {
-		if e.events[i].dead {
-			e.dropDead(i)
-		} else {
-			kept = append(kept, i)
-		}
-	}
-	e.heap = kept
-	for i := len(e.heap)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// push / popTop implement a classic binary min-heap keyed on (at, seq).
-// Hand-rolled (rather than container/heap) to avoid interface boxing on
-// the hottest path of the heap backend.
-
-func (e *Engine) less(i, j int) bool {
-	return e.entryLess(e.heap[i], e.heap[j])
-}
-
-func (e *Engine) push(idx int32) {
-	e.heap = append(e.heap, idx)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		i = parent
-	}
-}
-
-func (e *Engine) popTop() {
-	h := e.heap
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	e.siftDown(0)
-}
-
-func (e *Engine) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(e.heap) && e.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(e.heap) && e.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		e.heap[i], e.heap[smallest] = e.heap[smallest], e.heap[i]
-		i = smallest
-	}
 }

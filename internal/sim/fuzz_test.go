@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// The fuzzer drives the slab binary heap, the production timer wheel,
-// and a deliberately tiny wheel (16-tick buckets, 8 slots, so the fuzz
-// inputs constantly cross bucket boundaries and overflow into the far
-// heap) through the same schedule/cancel/run script decoded from the
-// fuzz input, then demands all three match a container/heap oracle on
-// firing order, firing times, clock, and pending counts. Chained
-// schedules (callbacks that schedule from inside the event loop)
-// exercise the release-before-run slot reuse; cancels of stale ids
-// exercise the generation guard; far-horizon deltas (raw%7==3 scales
-// the delta by 2^14) exercise the wheel's overflow heap and the
+// The fuzzer drives the production timer wheel and a deliberately tiny
+// wheel (16-tick buckets, 8 slots, so the fuzz inputs constantly cross
+// bucket boundaries and overflow into the far heap) through the same
+// schedule/cancel/run script decoded from the fuzz input, then demands
+// both match a container/heap oracle — the reference semantics of the
+// engine — on firing order, firing times, clock, and pending counts.
+// Chained schedules (callbacks that schedule from inside the event
+// loop) exercise the release-before-run slot reuse; cancels of stale
+// ids exercise the generation guard; far-horizon deltas (raw%7==3
+// scales the delta by 2^14) exercise the wheel's overflow heap and the
 // empty-wheel fast-forward.
 
 type oracleEvent struct {
@@ -125,7 +125,7 @@ func (o *oracle) run(until Time, all bool) {
 }
 
 // rig wraps one Engine under differential test with its own firing log
-// and id table, so several scheduler backends can replay the same
+// and id table, so several engine geometries can replay the same
 // script independently.
 type rig struct {
 	name   string
@@ -177,7 +177,6 @@ func FuzzEngineHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o := newOracle()
 		rigs := []*rig{
-			newRig("heap", NewEngineHeap()),
 			newRig("wheel", NewEngine()),
 			// Tiny wheel: 2^4-tick buckets, 2^3 slots — a 128-tick
 			// window that the 16-bit deltas overflow constantly.

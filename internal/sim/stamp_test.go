@@ -160,7 +160,6 @@ func FuzzEngineStamp(f *testing.F) {
 		rigs := []*stampRig{
 			o,
 			newStampRig(t, "wheel", NewEngine(), o),
-			newStampRig(t, "heap", NewEngineHeap(), o),
 			newStampRig(t, "wheel4x3", newEngineWheel(4, 3), o),
 		}
 		for ops := 0; i < len(data) && ops < 256; ops++ {

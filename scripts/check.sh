@@ -18,10 +18,10 @@
 #                      loopback soaks under -race
 #   6. coverage ratchet the invariant-bearing packages (internal/sim,
 #                      internal/sched, internal/check, internal/mica,
-#                      internal/core) must stay above their recorded
-#                      coverage floors
-#   7. fuzz smoke      50s total of FuzzEngineHeap (event heap vs
-#                      container/heap oracle), FuzzEngineStamp (Reserve/
+#                      internal/core, internal/server) must stay above
+#                      their recorded coverage floors
+#   7. fuzz smoke      50s total of FuzzEngineHeap (timer-wheel engine
+#                      vs container/heap oracle), FuzzEngineStamp (Reserve/
 #                      Passed vs an engine scheduling each reservation
 #                      as a real event), FuzzTraceRoundTrip (CSV/JSONL
 #                      codec round trip), FuzzPhaseRoundTrip
@@ -128,6 +128,7 @@ check_cover ./internal/sched 82
 check_cover ./internal/check 86
 check_cover ./internal/mica 90
 check_cover ./internal/core 88
+check_cover ./internal/server 88
 
 echo "== fuzz smoke (50s)"
 go test ./internal/sim -run '^$' -fuzz '^FuzzEngineHeap$' -fuzztime 10s >/dev/null
